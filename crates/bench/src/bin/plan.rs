@@ -9,11 +9,11 @@
 //!    outputs and — under the training-safe pass set — every parameter
 //!    gradient.
 //! 2. **Speed** — times the planned executor (static memory plan, frozen
-//!    dispatch lists, integer-indexed environment) against the pooled
-//!    `WavefrontExecutor` on the uncompiled graph and reports the
+//!    dispatch lists, integer-indexed environment) against the
+//!    `ReferenceExecutor` on the uncompiled graph and reports the
 //!    median-over-median speedup.
 //! 3. **Memory** — compares the ahead-of-time plan's static bytes against
-//!    the verifier's interference lower bound (must be ≥) and the pooled
+//!    the verifier's interference lower bound (must be ≥) and the reference
 //!    executor's observed `peak_memory()` (must be ≤).
 //!
 //! Emits `BENCH_plan.json` at the repo root and exits non-zero if any
@@ -100,11 +100,11 @@ struct Row {
     parity: bool,
     backprop_parity: bool,
     planned_ms: f64,
-    wavefront_ms: f64,
+    reference_ms: f64,
     speedup: f64,
     plan_bytes: usize,
     pool_lower_bound: usize,
-    wavefront_peak: usize,
+    reference_peak: usize,
 }
 
 fn run_case(case: &Case) -> Row {
@@ -175,36 +175,31 @@ fn run_case(case: &Case) -> Row {
         }
     }
 
-    // ---- Timing: planned (compiled) vs pooled wavefront (original) ----
-    let wavefront_engine = Engine::builder(case.net.clone_structure())
-        .executor(ExecutorKind::Wavefront)
-        .build()
-        .expect("wavefront");
-    let mut wavefront = wavefront_engine.lock();
+    // ---- Timing: planned (compiled) vs reference (original) -----------
     let warmup = (case.reps / 10).max(3);
     for _ in 0..warmup {
         planned.inference(&feeds).expect("planned warmup");
-        wavefront.inference(&feeds).expect("wavefront warmup");
+        reference.inference(&feeds).expect("reference warmup");
     }
     let mut planned_times = Vec::with_capacity(case.reps);
-    let mut wavefront_times = Vec::with_capacity(case.reps);
+    let mut reference_times = Vec::with_capacity(case.reps);
     for _ in 0..case.reps {
         let (r, t) = Timer::time(|| planned.inference(&feeds));
         r.expect("planned timed pass");
         planned_times.push(t);
-        let (r, t) = Timer::time(|| wavefront.inference(&feeds));
-        r.expect("wavefront timed pass");
-        wavefront_times.push(t);
+        let (r, t) = Timer::time(|| reference.inference(&feeds));
+        r.expect("reference timed pass");
+        reference_times.push(t);
     }
     let planned_ms = median(&mut planned_times) * 1e3;
-    let wavefront_ms = median(&mut wavefront_times) * 1e3;
+    let reference_ms = median(&mut reference_times) * 1e3;
     let speedup = if planned_ms > 0.0 {
-        wavefront_ms / planned_ms
+        reference_ms / planned_ms
     } else {
         1.0
     };
 
-    // ---- Memory: static plan vs lower bound vs observed pool peak -----
+    // ---- Memory: static plan vs lower bound vs observed reference peak -
     let plan = planned.plan().expect("plan built by passes above");
     Row {
         name: case.name,
@@ -215,11 +210,11 @@ fn run_case(case: &Case) -> Row {
         parity,
         backprop_parity,
         planned_ms,
-        wavefront_ms,
+        reference_ms,
         speedup,
         plan_bytes: plan.memory.total_bytes,
         pool_lower_bound: plan.memory.pool_lower_bound,
-        wavefront_peak: wavefront.peak_memory(),
+        reference_peak: reference.peak_memory(),
     }
 }
 
@@ -233,7 +228,7 @@ fn main() {
         "after",
         "fused",
         "planned_ms",
-        "wavefr_ms",
+        "ref_ms",
         "speedup",
         "plan_B",
         "bound_B",
@@ -247,11 +242,11 @@ fn main() {
             r.nodes_after,
             r.fused_epilogues,
             r.planned_ms,
-            r.wavefront_ms,
+            r.reference_ms,
             r.speedup,
             r.plan_bytes,
             r.pool_lower_bound,
-            r.wavefront_peak
+            r.reference_peak
         );
     }
 
@@ -269,10 +264,10 @@ fn main() {
                 r.name, r.plan_bytes, r.pool_lower_bound
             ));
         }
-        if r.plan_bytes > r.wavefront_peak {
+        if r.plan_bytes > r.reference_peak {
             failures.push(format!(
-                "{}: plan bytes {} exceed observed pooled peak {}",
-                r.name, r.plan_bytes, r.wavefront_peak
+                "{}: plan bytes {} exceed observed reference peak {}",
+                r.name, r.plan_bytes, r.reference_peak
             ));
         }
     }
@@ -280,7 +275,7 @@ fn main() {
     let max_speedup = rows.iter().map(|r| r.speedup).fold(0.0, f64::max);
     if max_speedup < SPEEDUP_TARGET {
         failures.push(format!(
-            "no model reached the {SPEEDUP_TARGET}x planned-vs-pooled target (max {max_speedup:.2}x)"
+            "no model reached the {SPEEDUP_TARGET}x planned-vs-reference target (max {max_speedup:.2}x)"
         ));
     }
 
@@ -291,8 +286,8 @@ fn main() {
                 "    {{\"model\": \"{}\", \"nodes_before\": {}, \"nodes_after\": {}, \
                  \"fused_epilogues\": {}, \"rewrites\": {}, \"parity_bitwise\": {}, \
                  \"backprop_parity_bitwise\": {}, \"planned_ms\": {:.6}, \
-                 \"wavefront_ms\": {:.6}, \"speedup\": {:.4}, \"plan_bytes\": {}, \
-                 \"pool_lower_bound_bytes\": {}, \"wavefront_peak_bytes\": {}, \
+                 \"reference_ms\": {:.6}, \"speedup\": {:.4}, \"plan_bytes\": {}, \
+                 \"pool_lower_bound_bytes\": {}, \"reference_peak_bytes\": {}, \
                  \"plan_within_peak\": {}}}",
                 r.name,
                 r.nodes_before,
@@ -302,12 +297,12 @@ fn main() {
                 r.parity,
                 r.backprop_parity,
                 r.planned_ms,
-                r.wavefront_ms,
+                r.reference_ms,
                 r.speedup,
                 r.plan_bytes,
                 r.pool_lower_bound,
-                r.wavefront_peak,
-                r.plan_bytes <= r.wavefront_peak
+                r.reference_peak,
+                r.plan_bytes <= r.reference_peak
             )
         })
         .collect();

@@ -3,7 +3,7 @@
 //! Runs two traced workloads into one shared
 //! [`TraceRecorder`](deep500::metrics::TraceRecorder):
 //!
-//! 1. a 2-epoch wavefront-executor training run (operator, sampling,
+//! 1. a 2-epoch planned-executor training run (operator, sampling,
 //!    iteration, and epoch spans from the existing `Event` hooks), and
 //! 2. a small data-parallel distributed run with every rank's communicator
 //!    wrapped in a `TracingCommunicator` (per-peer communication spans).
@@ -26,17 +26,17 @@ use std::sync::Arc;
 fn main() {
     let recorder = TraceRecorder::new();
 
-    // ---- 1. Traced 2-epoch wavefront training ----------------------------
+    // ---- 1. Traced 2-epoch planned training ------------------------------
     // Sized so operator work dominates per-node dispatch overhead: the
     // whole-run coverage gate below leaves <10% of epoch wall time
     // unattributed, which a toy model cannot meet in release builds.
     let features = 64;
     let net = models::mlp(features, &[256, 128], 8, 42).expect("build mlp");
     let engine = Engine::builder(net)
-        .executor(ExecutorKind::Wavefront)
+        .executor(ExecutorKind::Planned)
         .trace(&recorder)
         .build()
-        .expect("build wavefront engine");
+        .expect("build planned engine");
     let mut ex = engine.lock();
 
     let train_ds = SyntheticDataset::new(
@@ -65,7 +65,7 @@ fn main() {
     // phase of the training loop (sampling, batch assembly, loss-gradient
     // seeding, optimizer updates, pool/plan bookkeeping). Denominator: the
     // whole run — total `Epoch` wall time. What is left is genuinely
-    // unowned glue (wavefront dispatch, runner loop overhead).
+    // unowned glue (level dispatch, runner loop overhead).
     let attribution = ex.op_attribution();
     let attributed: f64 = attribution.iter().map(|r| r.total_s()).sum();
     let owned_phases = [

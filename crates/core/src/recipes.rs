@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// A ready-made Level-2 benchmark scenario: model + train/test samplers.
 ///
 /// The executor is built from an [`ExecutorKind`], so any scenario can run
-/// on the serial reference executor (the default) or the wavefront
+/// on the serial reference executor (the default) or the planned
 /// executor — they are bit-identical, so recipe results do not depend on
 /// the choice.
 pub struct Scenario {
@@ -172,9 +172,9 @@ mod tests {
 
     #[test]
     fn cnn_scenario_runs_an_epoch() {
-        // Exercise the wavefront switch end-to-end through a recipe.
+        // Exercise the executor switch end-to-end through a recipe.
         let mut sc =
-            Scenario::cnn_classification_with(ExecutorKind::Wavefront, 12, 3, 48, 16, 5).unwrap();
+            Scenario::cnn_classification_with(ExecutorKind::Planned, 12, 3, 48, 16, 5).unwrap();
         let mut opt = GradientDescent::new(0.05);
         let log = sc
             .train(

@@ -3,13 +3,41 @@
 //!
 //! Both are derived once per (graph, feed shapes) pair from the verifier's
 //! live-range analysis ([`deep500_verify::aliasing::live_ranges`]) and the
-//! executor's own level partition, then consumed every pass by
+//! dependency-level partition ([`partition_levels`]), then consumed every
+//! pass by
 //! [`PlannedExecutor`](super::PlannedExecutor) — no per-pass readiness
 //! recomputation, no per-op pool lookups.
 
 use crate::network::{Network, NodeId};
 use deep500_tensor::{Result, Shape};
 use std::collections::HashMap;
+
+/// Group the topological order into dependency levels (wavefronts): a
+/// node's level is one more than the deepest level among its input
+/// producers, so all nodes of a level are mutually independent and may run
+/// concurrently. Within each level nodes keep their topological order, so
+/// `levels.concat() == order`.
+pub(crate) fn partition_levels(network: &Network, order: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let mut level_of: HashMap<NodeId, usize> = HashMap::new();
+    let mut levels: Vec<Vec<NodeId>> = Vec::new();
+    for &id in order {
+        let node = network.node(id).expect("live node");
+        let mut level = 0;
+        for input in &node.inputs {
+            if let Some(p) = network.producer_of(input) {
+                if let Some(&pl) = level_of.get(&p) {
+                    level = level.max(pl + 1);
+                }
+            }
+        }
+        level_of.insert(id, level);
+        if levels.len() <= level {
+            levels.resize_with(level + 1, Vec::new);
+        }
+        levels[level].push(id);
+    }
+    levels
+}
 
 /// Static buffer assignment from greedy interval coloring over the
 /// live-range interference graph: tensors whose live ranges cannot overlap
@@ -305,11 +333,11 @@ impl ExecutionPlan {
 
     /// Convenience constructor: freeze a plan for `network` using its own
     /// topological order and wavefront level partition — exactly the
-    /// schedule [`PlannedExecutor`](super::PlannedExecutor) and the
-    /// wavefront executor run at these feed shapes.
+    /// schedule [`PlannedExecutor`](super::PlannedExecutor) runs at these
+    /// feed shapes.
     pub fn freeze(network: &Network, input_shapes: &[(&str, Shape)]) -> Result<ExecutionPlan> {
         let order = network.topological_order()?;
-        let levels = crate::wavefront::partition_levels(network, &order);
+        let levels = partition_levels(network, &order);
         ExecutionPlan::build(network, &order, &levels, input_shapes)
     }
 
@@ -400,19 +428,44 @@ impl ExecutionPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::executor::GraphExecutor;
     use crate::models;
-    use crate::wavefront::WavefrontExecutor;
     use deep500_ops::registry::Attributes;
     use deep500_verify::GraphIr;
+
+    /// Diamond: x feeds two independent Scale nodes (one level) whose
+    /// outputs are concatenated (the next level).
+    pub(crate) fn diamond_net() -> Network {
+        let mut net = Network::new("diamond");
+        net.add_input("x");
+        for (name, alpha, out) in [("s2", 2.0, "a"), ("s3", 3.0, "b")] {
+            let attrs = Attributes::new().with_float("alpha", alpha);
+            net.add_node(name, "Scale", attrs, &["x"], &[out]).unwrap();
+        }
+        let attrs = Attributes::new().with_int("num_inputs", 2);
+        net.add_node("cc", "Concat", attrs, &["a", "b"], &["y"])
+            .unwrap();
+        net.add_output("y");
+        net
+    }
 
     fn shapes_of(pairs: &[(&str, usize)]) -> HashMap<String, Shape> {
         pairs
             .iter()
             .map(|(n, numel)| (n.to_string(), Shape::new(&[*numel])))
             .collect()
+    }
+
+    #[test]
+    fn levels_partition_the_order() {
+        let net = diamond_net();
+        let order = net.topological_order().unwrap();
+        let levels = partition_levels(&net, &order);
+        assert_eq!(levels.len(), 2);
+        assert_eq!(levels[0].len(), 2, "independent scales share a level");
+        assert_eq!(levels[1].len(), 1);
+        assert_eq!(levels.concat(), order);
     }
 
     #[test]
@@ -453,20 +506,13 @@ mod tests {
             ),
         ];
         for (net, input_shapes) in cases {
-            let ex = WavefrontExecutor::construct(net, usize::MAX).unwrap();
-            let plan = ExecutionPlan::build(
-                ex.network(),
-                &ex.network().topological_order().unwrap(),
-                ex.levels(),
-                &input_shapes,
-            )
-            .unwrap();
+            let plan = ExecutionPlan::freeze(&net, &input_shapes).unwrap();
             assert!(
                 plan.memory.total_bytes >= plan.memory.pool_lower_bound,
                 "static plan cannot undercut the interference lower bound"
             );
             assert!(plan.memory.num_slots() > 0);
-            assert_eq!(plan.steps.len(), ex.network().num_nodes());
+            assert_eq!(plan.steps.len(), net.num_nodes());
             let total_steps: usize = plan.level_ranges.iter().map(|(lo, hi)| hi - lo).sum();
             assert_eq!(total_steps, plan.steps.len());
         }
@@ -475,11 +521,8 @@ mod tests {
     #[test]
     fn death_lists_cover_every_unpinned_consumed_tensor_once() {
         let net = models::mlp(8, &[8, 8], 3, 5).unwrap();
-        let ex = WavefrontExecutor::construct(net, usize::MAX).unwrap();
-        let plan = ExecutionPlan::build(
-            ex.network(),
-            &ex.network().topological_order().unwrap(),
-            ex.levels(),
+        let plan = ExecutionPlan::freeze(
+            &net,
             &[("x", Shape::new(&[2, 8])), ("labels", Shape::new(&[2]))],
         )
         .unwrap();

@@ -1,8 +1,12 @@
-//! The pre-scheduled wavefront executor.
+//! The pre-scheduled, level-parallel executor — the one fast executor.
 //!
-//! [`PlannedExecutor`] runs the same level partition as
-//! [`WavefrontExecutor`](crate::WavefrontExecutor) but consumes a frozen
-//! [`ExecutionPlan`] instead of re-deriving schedule state every pass:
+//! [`PlannedExecutor`] partitions the topological order into dependency
+//! levels (wavefronts: every node of a level is independent of the others,
+//! so a level's nodes run concurrently on the rayon pool and join before
+//! the next level starts) and freezes that schedule into an
+//! [`ExecutionPlan`] instead of re-deriving schedule state every pass. It
+//! runs raw networks as they are and compiled ones (see [`super::compile`])
+//! the same way:
 //!
 //! * the tensor environment is a dense `Vec<Option<Tensor>>` indexed by
 //!   interned tensor id — no string hashing on the hot path,
@@ -15,17 +19,21 @@
 //!
 //! Results are bit-identical to the reference executor: slot buffers are
 //! zero-filled exactly like pool buffers, within a level only independent
-//! nodes run, and the backward sweep folds gradient contributions in the
-//! same descending topological-position order as the wavefront executor.
+//! nodes run, and the backward sweep buffers gradient contributions per
+//! tensor with the topological position of the consumer that produced
+//! them, folding them in descending-position order — exactly the order
+//! the reference's reverse-topological sweep applies its `axpy`s. Each
+//! operator is timed on its worker thread and reported as a completed
+//! span, and the shared [`MemoryAccountant`] is atomic, so a configured
+//! memory limit still fails with `Error::OutOfMemory` under concurrency.
 //!
 //! The plan is shape-dependent, so it is built lazily at the first pass
 //! from the actual feed shapes and rebuilt transparently if they change.
 
-use super::plan::{ExecutionPlan, PlanStep, ValueRef};
+use super::plan::{partition_levels, ExecutionPlan, PlanStep, ValueRef};
 use super::shadow::ShadowChecker;
 use crate::executor::{GraphExecutor, MemoryAccountant, OpTotals};
 use crate::network::{Network, NodeId};
-use crate::wavefront::partition_levels;
 use deep500_metrics::event::{EventList, Phase};
 use deep500_ops::Operator;
 use deep500_tensor::{
@@ -213,6 +221,10 @@ impl PlannedExecutor {
     /// consuming compile-time-frozen packed weights is sound for inference
     /// but denied for backprop, since nothing re-derives the artifact
     /// after an optimizer step.
+    ///
+    /// The time spent building and gating a plan is reported as a
+    /// [`Phase::Bookkeeping`] span of the current pass; cache hits record
+    /// nothing.
     fn ensure_plan(&mut self, feeds: &[(&str, Tensor)], training: bool) -> Result<()> {
         let mut key: PlanKey = feeds
             .iter()
@@ -220,6 +232,7 @@ impl PlannedExecutor {
             .collect();
         key.sort_by(|a, b| a.0.cmp(&b.0));
         if !self.plans.contains_key(&key) {
+            let start = std::time::Instant::now();
             let input_shapes: Vec<(&str, Shape)> =
                 feeds.iter().map(|(n, t)| (*n, t.shape().clone())).collect();
             let plan =
@@ -244,10 +257,12 @@ impl PlannedExecutor {
                     shadow,
                 },
             );
+            self.record_plan_work(start);
         } else if self.current.as_ref() != Some(&key) {
             self.plan_hits += 1;
         }
         if training && !self.plans[&key].verified_training {
+            let start = std::time::Instant::now();
             let mutable: Vec<String> = self
                 .network
                 .gradient()
@@ -261,9 +276,20 @@ impl PlannedExecutor {
             if let Some(entry) = self.plans.get_mut(&key) {
                 entry.verified_training = true;
             }
+            self.record_plan_work(start);
         }
         self.current = Some(key);
         Ok(())
+    }
+
+    /// Report plan construction or gating since `start` as bookkeeping of
+    /// the current pass.
+    fn record_plan_work(&mut self, start: std::time::Instant) {
+        self.events.span(
+            Phase::Bookkeeping,
+            self.pass_counter,
+            start.elapsed().as_secs_f64(),
+        );
     }
 
     /// Shadow-checker violation count of the current plan, when runtime
@@ -284,7 +310,7 @@ impl PlannedExecutor {
     /// consumers are exhausted are donated back to their static slot as
     /// soon as their level's successors join (inference); without it the
     /// whole environment stays live for backprop and only the memory
-    /// accounting is released, mirroring the wavefront executor.
+    /// accounting is released, mirroring the reference executor.
     fn forward_planned(
         &mut self,
         feeds: &[(&str, Tensor)],
@@ -467,7 +493,7 @@ impl PlannedExecutor {
                     }
                 } else if let Some(t) = env[id].as_ref() {
                     // Keep the value for backprop; release accounting only,
-                    // like the wavefront executor.
+                    // like the reference executor.
                     memory.release(t.size_bytes());
                 }
             }
@@ -521,8 +547,8 @@ impl PlannedExecutor {
     }
 
     /// Fold buffered gradient contributions in descending topological
-    /// position of the contributing consumer — identical to the wavefront
-    /// executor, and therefore to the reference sweep.
+    /// position of the contributing consumer — the order the reference's
+    /// reverse sweep accumulates.
     fn materialize(
         pending: &mut HashMap<String, Vec<(usize, Tensor)>>,
         grads: &mut HashMap<String, Tensor>,
@@ -530,6 +556,8 @@ impl PlannedExecutor {
         name: &str,
     ) -> Result<()> {
         if let Some(mut contribs) = pending.remove(name) {
+            // Stable sort: a node consuming the same tensor twice pushes in
+            // input order under one position, which must be preserved.
             contribs.sort_by_key(|c| std::cmp::Reverse(c.0));
             let mut it = contribs.into_iter();
             let (_, mut acc) = it.next().expect("contribution lists are non-empty");
@@ -542,8 +570,9 @@ impl PlannedExecutor {
         Ok(())
     }
 
-    /// Backward sweep over the frozen levels in reverse; mirrors the
-    /// wavefront executor's deterministic accumulation.
+    /// Backward sweep over the frozen levels in reverse; publishes
+    /// parameter gradients into the network value store like the
+    /// reference.
     fn backward_planned(&mut self, env: &[Option<Tensor>], loss: &str, pass: usize) -> Result<()> {
         let width = self.group_width();
         let plan = self.plan().expect("plan built");
@@ -815,6 +844,21 @@ mod tests {
     }
 
     #[test]
+    fn diamond_inference_matches_reference() {
+        // The two Scale nodes share a level, so it dispatches a group of two.
+        let net = crate::compile::plan::tests::diamond_net();
+        let x = Tensor::from_vec([2, 1], vec![1.5, -0.5]).unwrap();
+        let mut rf = ReferenceExecutor::construct(net.clone_structure(), usize::MAX).unwrap();
+        let mut pl = PlannedExecutor::construct(net, usize::MAX)
+            .unwrap()
+            .with_threads(2);
+        let expect = rf.inference(&[("x", x.clone())]).unwrap();
+        let got = pl.inference(&[("x", x)]).unwrap();
+        assert_eq!(got["y"].data(), expect["y"].data());
+        assert_eq!(pl.plan().unwrap().level_ranges, vec![(0, 2), (2, 3)]);
+    }
+
+    #[test]
     fn planned_backprop_matches_reference_gradients_bitwise() {
         let net = models::mlp(10, &[12], 4, 21).unwrap();
         let feeds = mlp_feeds(3, 10);
@@ -890,10 +934,38 @@ mod tests {
     }
 
     #[test]
+    fn pool_recycles_across_passes() {
+        // Slots serve planned outputs; gradients fall back to the pool,
+        // which must hand the first pass's buffers to the second.
+        let net = models::mlp(8, &[8], 2, 7).unwrap();
+        let mut pl = PlannedExecutor::construct(net, usize::MAX).unwrap();
+        let feeds = mlp_feeds(4, 8);
+        pl.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
+        let after_first = pl.pool_stats();
+        pl.inference_and_backprop(&as_refs(&feeds), "loss").unwrap();
+        let after_second = pl.pool_stats();
+        assert!(
+            after_second.hits > after_first.hits,
+            "second pass should reuse first-pass buffers: {after_second:?}"
+        );
+    }
+
+    #[test]
     fn planned_ooms_on_tiny_capacity() {
         let net = models::mlp(4, &[4], 2, 5).unwrap();
         let mut pl = PlannedExecutor::construct(net, 8).unwrap();
         let err = pl.inference(&as_refs(&mlp_feeds(2, 4))).unwrap_err();
+        assert!(matches!(err, Error::OutOfMemory { .. }));
+    }
+
+    #[test]
+    fn diamond_ooms_on_tiny_capacity() {
+        // The 16-byte feed fits in 24 bytes but the level's two 16-byte
+        // outputs do not, so the error must come back from a worker thread.
+        let net = crate::compile::plan::tests::diamond_net();
+        let mut pl = PlannedExecutor::construct(net, 24).unwrap().with_threads(2);
+        let x = Tensor::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let err = pl.inference(&[("x", x)]).unwrap_err();
         assert!(matches!(err, Error::OutOfMemory { .. }));
     }
 

@@ -42,15 +42,49 @@
 //! assert!(out.contains_key("logits"));
 //! ```
 
-use crate::compile::{compile, CompileOptions, CompileReport};
-use crate::executor::GraphExecutor;
+use crate::compile::{compile, CompileOptions, CompileReport, PlannedExecutor};
+use crate::executor::{GraphExecutor, ReferenceExecutor};
 use crate::network::Network;
-use crate::wavefront::ExecutorKind;
 use deep500_metrics::trace::TraceRecorder;
 use deep500_tensor::{Result, Shape, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Executor selection for components that construct executors from
+/// configuration (training recipes, distributed runners, benchmarks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecutorKind {
+    /// The serial topological-sort interpreter ([`ReferenceExecutor`]):
+    /// the readable oracle every other path is checked against.
+    #[default]
+    Reference,
+    /// Level-parallel execution driven by an ahead-of-time compiled
+    /// [`ExecutionPlan`](crate::compile::ExecutionPlan): frozen dispatch
+    /// lists, integer-indexed tensor environment, and a static memory plan
+    /// instead of per-op pool lookups ([`PlannedExecutor`]). Runs equally
+    /// on raw and compiled networks.
+    Planned,
+}
+
+impl ExecutorKind {
+    /// The construction path behind [`Engine`]. `threads` caps per-level
+    /// concurrency for the planned tier (`0` = full rayon pool; ignored by
+    /// the reference tier).
+    pub(crate) fn construct(
+        self,
+        network: Network,
+        capacity: usize,
+        threads: usize,
+    ) -> Result<Box<dyn GraphExecutor>> {
+        Ok(match self {
+            ExecutorKind::Reference => Box::new(ReferenceExecutor::construct(network, capacity)?),
+            ExecutorKind::Planned => {
+                Box::new(PlannedExecutor::construct(network, capacity)?.with_threads(threads))
+            }
+        })
+    }
+}
 
 /// Shared state behind every [`Engine`] clone and [`Session`].
 struct EngineCore {
@@ -94,8 +128,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Cap concurrent nodes per wavefront level for the concurrent
-    /// executors (`0` = full rayon pool; ignored by the reference tier).
+    /// Cap concurrent nodes per wavefront level for the planned executor
+    /// (`0` = full rayon pool; ignored by the reference tier).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -360,15 +394,23 @@ mod tests {
 
     #[test]
     fn builder_replaces_all_three_construction_paths() {
-        for kind in [
-            ExecutorKind::Reference,
-            ExecutorKind::Wavefront,
-            ExecutorKind::Planned,
-        ] {
+        for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
             let net = models::mlp(8, &[12], 3, 5).unwrap();
             let engine = Engine::builder(net).executor(kind).build().unwrap();
             let out = engine.session().infer(&as_refs(&feeds(2))).unwrap();
             assert!(out.contains_key("loss"), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn executor_kind_builds_both() {
+        for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
+            let net = crate::compile::plan::tests::diamond_net();
+            let mut ex = kind.construct(net, usize::MAX, 0).unwrap();
+            let out = ex
+                .inference(&[("x", Tensor::from_vec([1, 1], vec![1.0]).unwrap())])
+                .unwrap();
+            assert_eq!(out["y"].data(), &[2.0, 3.0], "{kind:?}");
         }
     }
 
@@ -430,7 +472,7 @@ mod tests {
         let rec = TraceRecorder::new();
         let net = models::mlp(8, &[8], 2, 4).unwrap();
         let engine = Engine::builder(net)
-            .executor(ExecutorKind::Wavefront)
+            .executor(ExecutorKind::Planned)
             .trace(&rec)
             .build()
             .unwrap();

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// All counters are atomics and every method takes `&self`, so one
 /// accountant can be shared across the worker threads of a concurrent
-/// executor (e.g. [`WavefrontExecutor`](crate::WavefrontExecutor)) while
+/// executor (e.g. [`PlannedExecutor`](crate::PlannedExecutor)) while
 /// preserving the capacity check: a racing `allocate` either claims its
 /// bytes within capacity or fails with [`Error::OutOfMemory`], never both.
 #[derive(Debug)]
@@ -211,10 +211,10 @@ pub trait GraphExecutor: Send {
     fn events_mut(&mut self) -> &mut EventList;
 
     /// The concrete executor behind the trait object, for callers that
-    /// need tier-specific analyses (e.g.
-    /// [`WavefrontExecutor::verify_plan`](crate::WavefrontExecutor::verify_plan))
+    /// need tier-specific introspection (e.g.
+    /// [`PlannedExecutor::plan`](crate::PlannedExecutor::plan))
     /// after building through [`Engine`](crate::Engine):
-    /// `engine.into_inner()?.as_any().downcast_ref::<WavefrontExecutor>()`.
+    /// `engine.into_inner()?.as_any().downcast_ref::<PlannedExecutor>()`.
     fn as_any(&self) -> &dyn std::any::Any;
 
     /// Mutable counterpart of [`GraphExecutor::as_any`].
@@ -238,9 +238,8 @@ pub trait GraphExecutor: Send {
     }
 
     /// Total bytes of the ahead-of-time memory plan, for executors running
-    /// a compiled [`MemoryPlan`](crate::compile::MemoryPlan) (`None` for
-    /// dynamically pooled executors, or before the first pass builds the
-    /// plan).
+    /// a [`MemoryPlan`](crate::compile::MemoryPlan) (`None` for executors
+    /// without one, or before the first pass builds the plan).
     fn static_plan_bytes(&self) -> Option<usize> {
         None
     }

@@ -76,7 +76,7 @@ fn read_attr(buf: &[u8], pos: &mut usize) -> Result<(String, AttrValue)> {
             AttrValue::Float(v)
         }
         2 => {
-            let n = read_u64(buf, pos)? as usize;
+            let n = read_count(buf, pos, "integer list")?;
             let mut vs = Vec::with_capacity(n);
             for _ in 0..n {
                 vs.push(zigzag_decode(read_u64(buf, pos)?));
@@ -87,6 +87,20 @@ fn read_attr(buf: &[u8], pos: &mut usize) -> Result<(String, AttrValue)> {
         t => return Err(Error::Format(format!("unknown attribute tag {t}"))),
     };
     Ok((key, value))
+}
+
+/// Read an element count that sizes an allocation. Every element takes at
+/// least one more byte (a varint or a length prefix), so a count larger
+/// than the bytes left is rejected before it reaches `Vec::with_capacity`.
+fn read_count(buf: &[u8], pos: &mut usize, what: &str) -> Result<usize> {
+    let n = read_u64(buf, pos)?;
+    let left = buf.len() - *pos;
+    if n > left as u64 {
+        return Err(Error::Format(format!(
+            "{what} announces {n} elements but only {left} bytes remain"
+        )));
+    }
+    Ok(n as usize)
 }
 
 /// Serialize a network to d5nx bytes. Deterministic: attributes are written
@@ -176,16 +190,19 @@ pub fn decode(buf: &[u8]) -> Result<Network> {
     let n_params = read_u64(buf, &mut pos)? as usize;
     for _ in 0..n_params {
         let pname = read_string(buf, &mut pos)?;
-        let rank = read_u64(buf, &mut pos)? as usize;
+        let rank = read_count(buf, &mut pos, "parameter rank")?;
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
             dims.push(read_u64(buf, &mut pos)? as usize);
         }
+        // Checked, so a wrapped product cannot pass the length check below.
+        let left = buf.len() - pos;
+        let numel = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .filter(|n| n.checked_mul(4).is_some_and(|bytes| bytes <= left))
+            .ok_or_else(|| Error::Format(format!("truncated parameter '{pname}'")))?;
         let shape = Shape::new(&dims);
-        let numel = shape.numel();
-        if pos + numel * 4 > buf.len() {
-            return Err(Error::Format(format!("truncated parameter '{pname}'")));
-        }
         let mut data = Vec::with_capacity(numel);
         for _ in 0..numel {
             data.push(f32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()));
@@ -204,12 +221,12 @@ pub fn decode(buf: &[u8]) -> Result<Network> {
             let (k, v) = read_attr(buf, &mut pos)?;
             attrs = attrs.with(&k, v);
         }
-        let n_in = read_u64(buf, &mut pos)? as usize;
+        let n_in = read_count(buf, &mut pos, "node inputs")?;
         let mut inputs = Vec::with_capacity(n_in);
         for _ in 0..n_in {
             inputs.push(read_string(buf, &mut pos)?);
         }
-        let n_out = read_u64(buf, &mut pos)? as usize;
+        let n_out = read_count(buf, &mut pos, "node outputs")?;
         let mut outputs = Vec::with_capacity(n_out);
         for _ in 0..n_out {
             outputs.push(read_string(buf, &mut pos)?);
@@ -312,6 +329,54 @@ mod tests {
         for cut in [5, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
+    }
+
+    /// A d5nx header (`D5NX`, versions, empty name, no inputs/outputs)
+    /// followed by `params` parameters.
+    fn header(params: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        write_u64(&mut buf, FORMAT_VERSION);
+        write_u64(&mut buf, OPSET_VERSION);
+        write_string(&mut buf, "");
+        write_u64(&mut buf, 0);
+        write_u64(&mut buf, 0);
+        write_u64(&mut buf, params);
+        buf
+    }
+
+    #[test]
+    fn huge_parameter_rank_is_rejected_before_allocating() {
+        let mut buf = header(1);
+        write_string(&mut buf, "w");
+        write_u64(&mut buf, u64::MAX);
+        buf.extend_from_slice(&[0; 3]);
+        assert!(buf.len() <= 25, "{} bytes", buf.len());
+        assert!(matches!(decode(&buf), Err(Error::Format(_))));
+    }
+
+    #[test]
+    fn overflowing_parameter_dims_are_rejected() {
+        // 2^33 * 2^31 wraps to 0 elements in unchecked usize arithmetic.
+        let mut buf = header(1);
+        write_string(&mut buf, "w");
+        write_u64(&mut buf, 2);
+        write_u64(&mut buf, 1 << 33);
+        write_u64(&mut buf, 1 << 31);
+        write_u64(&mut buf, 0); // node count
+        assert!(matches!(decode(&buf), Err(Error::Format(_))));
+    }
+
+    #[test]
+    fn huge_integer_list_attribute_is_rejected_before_allocating() {
+        let mut buf = header(0);
+        write_u64(&mut buf, 1); // one node
+        write_string(&mut buf, "n");
+        write_string(&mut buf, "Relu");
+        write_u64(&mut buf, 1); // one attribute
+        write_string(&mut buf, "k");
+        buf.push(2); // Ints tag
+        write_u64(&mut buf, u64::MAX >> 1);
+        assert!(matches!(decode(&buf), Err(Error::Format(_))));
     }
 
     #[test]

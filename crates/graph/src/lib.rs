@@ -39,17 +39,15 @@ pub mod network;
 pub mod transforms;
 pub mod validate;
 pub mod visitor;
-pub mod wavefront;
 
 pub use compile::{
     compile, CompileOptions, CompileReport, ExecutionPlan, MemoryPlan, PlannedExecutor,
     ShadowChecker,
 };
-pub use engine::{Engine, EngineBuilder, EngineGuard, Session};
+pub use engine::{Engine, EngineBuilder, EngineGuard, ExecutorKind, Session};
 pub use executor::{GraphExecutor, MemoryAccountant, OpTotals, ReferenceExecutor};
 pub use network::{Network, Node, NodeId};
 pub use visitor::NetworkVisitor;
-pub use wavefront::{ExecutorKind, WavefrontExecutor};
 
 /// Naming convention for gradient tensors: the gradient of tensor `t` is
 /// stored under `grad::t` in the network's value map.

@@ -160,16 +160,17 @@ impl Operator for FusedElementwiseOp {
         let mut dx = Tensor::zeros(x.shape().clone());
         let depth = self.stages.len();
         let mut vals = vec![0.0f32; depth + 1];
-        for i in 0..x.numel() {
-            vals[0] = x.data()[i];
+        let (gd, xd) = (g.data(), x.data());
+        for (i, out) in dx.data_mut().iter_mut().enumerate() {
+            vals[0] = xd[i];
             for (k, st) in self.stages.iter().enumerate() {
                 vals[k + 1] = st.apply(vals[k]);
             }
-            let mut d = g.data()[i];
+            let mut d = gd[i];
             for (k, st) in self.stages.iter().enumerate().rev() {
                 d *= st.derivative(vals[k], vals[k + 1]);
             }
-            dx.data_mut()[i] = d;
+            *out = d;
         }
         Ok(vec![dx])
     }

@@ -35,11 +35,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn interleaved_sessions_are_bit_identical_to_serial_execution() {
-    for kind in [
-        ExecutorKind::Reference,
-        ExecutorKind::Wavefront,
-        ExecutorKind::Planned,
-    ] {
+    for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
         let net = models::mlp(FEATURES, &[12, 8], 3, 29).unwrap();
 
         // Serial ground truth: every (tenant, pass) on a fresh engine,

@@ -3,8 +3,9 @@
 //! caught, and shadow-checker cross-validation on the unmutated zoo.
 //!
 //! Structure mirrors the verifier's contract:
-//! * every zoo model × {raw, compiled-inference, compiled-training} ×
-//!   {wavefront, planned} verifies with zero deny lints,
+//! * every zoo model × {raw, compiled-inference, compiled-training}
+//!   verifies with zero deny lints, and raw planned execution — whose
+//!   plan builds are gated — runs inference and backprop on all of them,
 //! * ≥8 hand-corrupted plans (slot overlap, level reorder, epilogue
 //!   aliasing, skipped memo invalidation, death-list desync, …) each
 //!   produce the designed deny lint,
@@ -12,10 +13,10 @@
 //!   inference/backprop passes on the unmutated zoo — the dynamic
 //!   residency protocol agrees with the static proof.
 
-use deep500_graph::compile::{compile, CompileOptions, ExecutionPlan};
+use deep500_graph::compile::{compile, CompileOptions, ExecutionPlan, PlannedExecutor};
 use deep500_graph::executor::GraphExecutor;
 use deep500_graph::network::Network;
-use deep500_graph::{models, Engine, ExecutorKind, WavefrontExecutor};
+use deep500_graph::{models, Engine, ExecutorKind};
 use deep500_tensor::{Shape, Tensor};
 use deep500_verify::{check_plan, FrozenMemoIr, LintCode, PlanIr, PlanValueIr};
 
@@ -91,7 +92,7 @@ fn as_refs(feeds: &[(String, Tensor)]) -> Vec<(&str, Tensor)> {
 #[test]
 fn zoo_plans_verify_clean_raw_and_compiled() {
     for (name, net, shapes) in zoo() {
-        // Raw network (the wavefront/planned executors' default schedule).
+        // Raw network (the planned executor's schedule without compile()).
         let ir = lower(&net, &shapes, &[]);
         let report = check_plan(&ir);
         assert!(report.passes(), "{name} raw:\n{}", report.render(true));
@@ -117,33 +118,40 @@ fn zoo_plans_verify_clean_raw_and_compiled() {
 }
 
 #[test]
-// `verify_plan` lives on the concrete tier; unwrap the engine and downcast.
-fn wavefront_executor_verifies_its_own_schedule() {
+// `PlannedExecutor::ensure_plan` gates every plan it builds (`V017`–`V020`
+// with no mutable parameters at build, with the trained set at the first
+// backprop), so passes that run are passes whose schedule verified clean.
+fn raw_planned_runs_inference_and_backprop_on_every_zoo_model() {
     for (name, net, shapes) in zoo() {
-        let boxed = Engine::builder(net)
-            .executor(ExecutorKind::Wavefront)
+        let mut boxed = Engine::builder(net)
+            .executor(ExecutorKind::Planned)
             .build()
             .unwrap()
             .into_inner()
             .unwrap();
+        let feeds = feeds_for(&shapes, 3);
+        boxed
+            .inference(&as_refs(&feeds))
+            .unwrap_or_else(|e| panic!("{name} inference: {e}"));
+        // Uncompiled zoo models freeze nothing, so the trained-parameter
+        // gate is clean too.
+        boxed
+            .inference_and_backprop(&as_refs(&feeds), "loss")
+            .unwrap_or_else(|e| panic!("{name} backprop: {e}"));
         let ex = boxed
             .as_any()
-            .downcast_ref::<WavefrontExecutor>()
-            .expect("wavefront engine holds a WavefrontExecutor");
-        let report = ex.verify_plan(&shapes, &[]).unwrap();
-        assert!(report.passes(), "{name}:\n{}", report.render(true));
-        let mutable: Vec<String> = ex
-            .network()
-            .gradient()
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
-        // Uncompiled zoo models freeze nothing, so the trained-parameter
-        // lowering is clean too.
-        assert!(
-            ex.verify_plan(&shapes, &mutable).unwrap().passes(),
-            "{name} trained"
+            .downcast_ref::<PlannedExecutor>()
+            .expect("planned engine holds a PlannedExecutor");
+        assert_eq!(
+            ex.plan_cache_stats().builds,
+            1,
+            "{name}: one shape, one plan"
         );
+        // The gated schedule is the one `freeze` lowers for the checks above.
+        let frozen = ExecutionPlan::freeze(ex.network(), &shapes).unwrap();
+        let ran = ex.plan().expect("plan built");
+        assert_eq!(ran.level_ranges, frozen.level_ranges, "{name}");
+        assert_eq!(ran.slot_of_id, frozen.slot_of_id, "{name}");
     }
 }
 

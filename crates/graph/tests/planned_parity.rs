@@ -1,8 +1,9 @@
-//! Wavefront executor parity: results must be *bit-identical* to the
-//! reference executor on the model zoo, for outputs and parameter
+//! Planned executor parity on the raw (uncompiled) zoo: results must be
+//! *bit-identical* to the reference executor, for outputs and parameter
 //! gradients, at every concurrency width. This is the contract that makes
-//! the wavefront executor a drop-in replacement: reordering execution
-//! across a level must never reorder any floating-point accumulation.
+//! the planned executor a drop-in replacement: running a level's nodes
+//! concurrently over static slot buffers must never reorder any
+//! floating-point accumulation.
 
 use deep500_graph::validate::{test_executor, test_executor_backprop};
 use deep500_graph::{grad_name, Engine, ExecutorKind, MemoryAccountant, Network};
@@ -42,18 +43,18 @@ fn zoo() -> Vec<ZooCase> {
 }
 
 #[test]
-fn wavefront_inference_is_bit_identical_across_widths() {
+fn planned_inference_is_bit_identical_across_widths() {
     for (name, net, feeds) in zoo() {
         for threads in [0usize, 1, 2] {
-            let wf = Engine::builder(net.clone_structure())
-                .executor(ExecutorKind::Wavefront)
+            let pl = Engine::builder(net.clone_structure())
+                .executor(ExecutorKind::Planned)
                 .threads(threads)
                 .build()
                 .unwrap();
             let rf = Engine::builder(net.clone_structure()).build().unwrap();
-            let (mut wf, mut rf) = (wf.lock(), rf.lock());
+            let (mut pl, mut rf) = (pl.lock(), rf.lock());
             let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
-            let report = test_executor(&mut *wf, &mut *rf, &feeds, 2).unwrap();
+            let report = test_executor(&mut *pl, &mut *rf, &feeds, 2).unwrap();
             assert!(
                 report.passes(0.0),
                 "{name} (threads={threads}): outputs differ: {:?}",
@@ -64,18 +65,18 @@ fn wavefront_inference_is_bit_identical_across_widths() {
 }
 
 #[test]
-fn wavefront_backprop_is_bit_identical_across_widths() {
+fn planned_backprop_is_bit_identical_across_widths() {
     for (name, net, feeds) in zoo() {
         for threads in [0usize, 1, 2] {
-            let wf = Engine::builder(net.clone_structure())
-                .executor(ExecutorKind::Wavefront)
+            let pl = Engine::builder(net.clone_structure())
+                .executor(ExecutorKind::Planned)
                 .threads(threads)
                 .build()
                 .unwrap();
             let rf = Engine::builder(net.clone_structure()).build().unwrap();
-            let (mut wf, mut rf) = (wf.lock(), rf.lock());
+            let (mut pl, mut rf) = (pl.lock(), rf.lock());
             let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
-            let report = test_executor_backprop(&mut *wf, &mut *rf, &feeds, "loss", 2).unwrap();
+            let report = test_executor_backprop(&mut *pl, &mut *rf, &feeds, "loss", 2).unwrap();
             assert!(
                 !report.gradient_norms.is_empty(),
                 "{name}: no parameter gradients compared"
@@ -94,42 +95,42 @@ fn wavefront_backprop_is_bit_identical_across_widths() {
 /// Belt and braces: compare raw IEEE-754 bit patterns of every parameter
 /// gradient, not just an ℓ∞ of 0 (which `-0.0 == 0.0` would satisfy).
 #[test]
-fn wavefront_gradients_match_reference_bitwise() {
+fn planned_gradients_match_reference_bitwise() {
     let (_, net, feeds) = zoo().remove(0);
-    let wf = Engine::builder(net.clone_structure())
-        .executor(ExecutorKind::Wavefront)
+    let pl = Engine::builder(net.clone_structure())
+        .executor(ExecutorKind::Planned)
         .build()
         .unwrap();
     let rf = Engine::builder(net).build().unwrap();
-    let (mut wf, mut rf) = (wf.lock(), rf.lock());
+    let (mut pl, mut rf) = (pl.lock(), rf.lock());
     let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
-    wf.inference_and_backprop(&feeds, "loss").unwrap();
+    pl.inference_and_backprop(&feeds, "loss").unwrap();
     rf.inference_and_backprop(&feeds, "loss").unwrap();
     let params = rf.network().get_params().to_vec();
     assert!(!params.is_empty());
     for p in params {
         let g = grad_name(&p);
-        let wg = wf.network().fetch_tensor(&g).unwrap();
+        let pg = pl.network().fetch_tensor(&g).unwrap();
         let rg = rf.network().fetch_tensor(&g).unwrap();
-        let wbits: Vec<u32> = wg.data().iter().map(|v| v.to_bits()).collect();
+        let pbits: Vec<u32> = pg.data().iter().map(|v| v.to_bits()).collect();
         let rbits: Vec<u32> = rg.data().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(wbits, rbits, "gradient '{g}' differs bitwise");
+        assert_eq!(pbits, rbits, "gradient '{g}' differs bitwise");
     }
 }
 
 #[test]
-fn wavefront_is_deterministic_across_repeated_passes() {
+fn planned_is_deterministic_across_repeated_passes() {
     let (_, net, feeds) = zoo().remove(1);
     let engine = Engine::builder(net)
-        .executor(ExecutorKind::Wavefront)
+        .executor(ExecutorKind::Planned)
         .build()
         .unwrap();
-    let mut wf = engine.lock();
+    let mut pl = engine.lock();
     let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
-    let first = wf.inference_and_backprop(&feeds, "loss").unwrap();
+    let first = pl.inference_and_backprop(&feeds, "loss").unwrap();
     for _ in 0..3 {
-        // Later passes run on recycled pool buffers; results must not move.
-        let again = wf.inference_and_backprop(&feeds, "loss").unwrap();
+        // Later passes run on reused slot buffers; results must not move.
+        let again = pl.inference_and_backprop(&feeds, "loss").unwrap();
         assert_eq!(
             first["loss"].data()[0].to_bits(),
             again["loss"].data()[0].to_bits()
@@ -180,10 +181,10 @@ fn accountant_enforces_capacity_under_concurrency() {
 }
 
 #[test]
-fn wavefront_respects_memory_limit() {
+fn planned_respects_memory_limit() {
     let net = deep500_graph::models::mlp(64, &[64], 8, 1).unwrap();
     let engine = Engine::builder(net)
-        .executor(ExecutorKind::Wavefront)
+        .executor(ExecutorKind::Planned)
         .memory_limit(1024)
         .build()
         .unwrap();

@@ -5,7 +5,7 @@
 //! 1. **Span forwarding** — hooks that accumulate time must receive the
 //!    duration *measured by the worker* that ran the operator, not re-time
 //!    the report on the coordinator thread. Exercised by asserting that a
-//!    [`WallclockTime`] attached to the wavefront executor records samples
+//!    [`WallclockTime`] attached to the planned executor records samples
 //!    that sum *exactly* to the executor's own per-op totals (the same f64
 //!    flows through both paths); under the old `Event::span` default —
 //!    forwarding to `begin`+`end` on the reporting thread — the samples
@@ -78,9 +78,9 @@ fn feeds(batch: usize, inner: usize, seed: u64) -> (Tensor, Tensor) {
 /// `Event::span` call, so the sums must match bit-for-bit; the old default
 /// span-forwarding re-measured on the coordinator and breaks this.
 #[test]
-fn wavefront_span_reaches_hooks_with_worker_measured_time() {
+fn planned_span_reaches_hooks_with_worker_measured_time() {
     let engine = Engine::builder(chain_net(32, 128, 1))
-        .executor(ExecutorKind::Wavefront)
+        .executor(ExecutorKind::Planned)
         .build()
         .unwrap();
     let mut ex = engine.lock();
@@ -112,13 +112,8 @@ fn wavefront_span_reaches_hooks_with_worker_measured_time() {
 /// `OperatorForward` sees one strictly-positive sample per op either way.
 #[test]
 fn both_executors_feed_time_hooks_per_op() {
-    for wavefront in [false, true] {
+    for kind in [ExecutorKind::Reference, ExecutorKind::Planned] {
         let net = chain_net(16, 64, 3);
-        let kind = if wavefront {
-            ExecutorKind::Wavefront
-        } else {
-            ExecutorKind::Reference
-        };
         let engine = Engine::builder(net).executor(kind).build().unwrap();
         let mut ex = engine.lock();
         let clock = SharedEvent::new(WallclockTime::new(Phase::OperatorForward));
@@ -126,10 +121,10 @@ fn both_executors_feed_time_hooks_per_op() {
         let (x, target) = feeds(16, 64, 4);
         ex.inference(&[("x", x), ("target", target)]).unwrap();
         clock.with(|c| {
-            assert_eq!(c.samples().len(), 3, "wavefront={wavefront}");
+            assert_eq!(c.samples().len(), 3, "{kind:?}");
             assert!(
                 c.samples().iter().all(|&s| s > 0.0),
-                "wavefront={wavefront}: zero-duration sample means a hook \
+                "{kind:?}: zero-duration sample means a hook \
                  was fed the forwarding gap, not the op time: {:?}",
                 c.samples()
             );
@@ -140,14 +135,14 @@ fn both_executors_feed_time_hooks_per_op() {
 /// Per-op attributed wall time explains the `Backprop` phase total to
 /// within 5% on a compute-bound chain (issue acceptance criterion).
 #[test]
-fn wavefront_attribution_sums_to_backprop_phase() {
+fn planned_attribution_sums_to_backprop_phase() {
     // Big enough that per-level scheduling overhead is well under 5% of
     // the matmul time; a chain, so op times are disjoint (no parallel
     // overlap double-counting against the wall).
     let (batch, inner) = (64, 256);
     let recorder = TraceRecorder::new();
     let engine = Engine::builder(chain_net(batch, inner, 5))
-        .executor(ExecutorKind::Wavefront)
+        .executor(ExecutorKind::Planned)
         .trace(&recorder)
         .build()
         .unwrap();

@@ -3,14 +3,14 @@
 //! Every model the repo ships must (1) pass the structural gate that now
 //! guards executor construction, (2) verify clean — zero Deny lints —
 //! under the full shape/dataflow/aliasing pipeline, (3) propagate a
-//! symbolic batch dimension through to its logits, and (4) prove
-//! pool-safety of the wavefront level partition with an interference-graph
-//! pool lower bound that never exceeds the executor's *observed*
-//! high-water memory mark.
+//! symbolic batch dimension through to its logits, and (4) run the planned
+//! executor's gated level partition with an interference-graph pool lower
+//! bound that never exceeds the executor's *observed* high-water memory
+//! mark.
 
 use deep500_graph::models;
 use deep500_graph::network::Network;
-use deep500_graph::{Engine, ExecutorKind, GraphExecutor, WavefrontExecutor};
+use deep500_graph::{Engine, ExecutorKind, PlannedExecutor};
 use deep500_tensor::{Shape, Tensor};
 use deep500_verify::{SymShape, Verifier};
 
@@ -147,45 +147,39 @@ fn symbolic_batch_reaches_the_logits_of_every_model() {
 }
 
 #[test]
-// `verify_aliasing` lives on the concrete executor, not the `GraphExecutor`
-// trait, so this test unwraps the engine and downcasts to the tier.
-fn wavefront_pool_bound_is_a_true_lower_bound_on_observed_peak() {
+// The plan lives on the concrete executor, not the `GraphExecutor` trait,
+// so this test unwraps the engine and downcasts to the tier.
+fn planned_pool_bound_is_a_true_lower_bound_on_observed_peak() {
     for case in zoo() {
         let mut boxed = Engine::builder(case.net.clone_structure())
-            .executor(ExecutorKind::Wavefront)
+            .executor(ExecutorKind::Planned)
             .build()
             .unwrap()
             .into_inner()
             .unwrap();
+        // The pass builds the raw network's plan, which must clear the
+        // plan-soundness gate (pool-safety of the level partition)...
+        let feeds: Vec<(&str, Tensor)> = case.feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
+        boxed
+            .inference(&feeds)
+            .unwrap_or_else(|e| panic!("{}: planned inference failed: {e}", case.name));
+        let observed = boxed.peak_memory();
         let ex = boxed
-            .as_any_mut()
-            .downcast_mut::<WavefrontExecutor>()
-            .expect("wavefront engine holds a WavefrontExecutor");
-        let shape_feeds: Vec<(&str, Shape)> = case
-            .feeds
-            .iter()
-            .map(|(n, t)| (*n, t.shape().clone()))
-            .collect();
-        // Aliasing analysis of the *actual* level partition must prove
-        // pool-safety (no tensor live in two concurrent levels)...
-        let report = ex
-            .verify_aliasing(&shape_feeds)
-            .unwrap_or_else(|e| panic!("{}: aliasing verification failed: {e}", case.name));
-        assert!(report.num_levels > 0, "{}", case.name);
+            .as_any()
+            .downcast_ref::<PlannedExecutor>()
+            .expect("planned engine holds a PlannedExecutor");
+        let plan = ex.plan().expect("plan built");
+        assert!(!plan.level_ranges.is_empty(), "{}", case.name);
         // ...and its interference-graph bound must stay below what the
         // executor actually touched on a real pass.
-        let feeds: Vec<(&str, Tensor)> = case.feeds.iter().map(|(n, t)| (*n, t.clone())).collect();
-        ex.inference(&feeds).unwrap();
-        let observed = ex.peak_memory();
+        let bound = plan.memory.pool_lower_bound;
         assert!(
-            report.pool_lower_bound <= observed,
-            "{}: pool lower bound {} exceeds observed peak {}",
+            bound <= observed,
+            "{}: pool lower bound {bound} exceeds observed peak {observed}",
             case.name,
-            report.pool_lower_bound,
-            observed
         );
         // The bound is not vacuous: at least the largest single
         // intermediate must be accounted.
-        assert!(report.pool_lower_bound > 0, "{}", case.name);
+        assert!(bound > 0, "{}", case.name);
     }
 }

@@ -42,8 +42,9 @@ pub enum Phase {
     /// Applying optimizer update rules to the parameters; `id` is the
     /// iteration number.
     OptimizerUpdate,
-    /// Executor bookkeeping around a pass: publishing parameter gradients
-    /// and recycling/reclaiming pooled buffers; `id` is the pass number.
+    /// Executor bookkeeping around a pass: publishing parameter gradients,
+    /// recycling/reclaiming pooled buffers, and building or gating an
+    /// execution plan on a plan-cache miss; `id` is the pass number.
     Bookkeeping,
 }
 

@@ -88,8 +88,9 @@ impl Operator for ActivationOp {
         let x = inputs[0];
         let y = outputs[0];
         let mut dx = Tensor::zeros(x.shape().clone());
-        for i in 0..x.numel() {
-            dx.data_mut()[i] = g.data()[i] * self.derivative(x.data()[i], y.data()[i]);
+        let (gd, xd, yd) = (g.data(), x.data(), y.data());
+        for (i, d) in dx.data_mut().iter_mut().enumerate() {
+            *d = gd[i] * self.derivative(xd[i], yd[i]);
         }
         Ok(vec![dx])
     }

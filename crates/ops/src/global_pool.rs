@@ -41,12 +41,12 @@ impl Operator for GlobalAvgPoolOp {
             return Err(Error::Invalid("empty spatial dimensions".into()));
         }
         let mut out = Tensor::zeros([n, c]);
-        let xd = x.data();
+        let (xd, od) = (x.data(), out.data_mut());
         for img in 0..n {
             for ch in 0..c {
                 let base = (img * c + ch) * plane;
                 let sum: f64 = xd[base..base + plane].iter().map(|&v| v as f64).sum();
-                out.data_mut()[img * c + ch] = (sum / plane as f64) as f32;
+                od[img * c + ch] = (sum / plane as f64) as f32;
             }
         }
         Ok(vec![out])

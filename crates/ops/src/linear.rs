@@ -171,9 +171,10 @@ impl Operator for LinearOp {
         // db = column sums of g
         let (n, fout) = (g.shape().dim(0), g.shape().dim(1));
         let mut db = Tensor::zeros(b.shape().clone());
+        let (gd, dbd) = (g.data(), db.data_mut());
         for r in 0..n {
             for c in 0..fout {
-                db.data_mut()[c] += g.data()[r * fout + c];
+                dbd[c] += gd[r * fout + c];
             }
         }
         Ok(vec![dx, dw, db])

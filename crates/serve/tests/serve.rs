@@ -234,7 +234,7 @@ fn concurrent_clients_against_a_multi_worker_shard_all_get_their_rows() {
     let server = Server::builder()
         .model(
             "mlp",
-            dynamic_mlp(ExecutorKind::Wavefront, 4)
+            dynamic_mlp(ExecutorKind::Planned, 4)
                 .workers(2)
                 .queue_capacity(64),
         )

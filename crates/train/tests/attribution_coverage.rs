@@ -4,7 +4,7 @@
 //! operator span (forward/backward kernels) or by an explicitly named
 //! non-operator phase — sampling, batch assembly, loss-gradient seeding,
 //! optimizer updates, pool/plan bookkeeping. The uninstrumented residual
-//! (wavefront dispatch, runner loop glue) must stay below 10% of total
+//! (level dispatch, runner loop glue) must stay below 10% of total
 //! epoch wall time, matching the gate `profile` enforces in CI.
 
 use deep500_data::sampler::ShuffleSampler;
@@ -58,7 +58,7 @@ fn run_coverage(kind: ExecutorKind) -> f64 {
 
 #[test]
 fn traced_training_run_attributes_at_least_ninety_percent_of_epoch_time() {
-    for kind in [ExecutorKind::Wavefront, ExecutorKind::Reference] {
+    for kind in [ExecutorKind::Planned, ExecutorKind::Reference] {
         let coverage = run_coverage(kind);
         assert!(
             coverage >= 0.90,
@@ -80,7 +80,7 @@ fn new_training_phases_are_populated() {
     let recorder = TraceRecorder::new();
     let net = models::mlp(16, &[24], 4, 3).expect("build mlp");
     let engine = Engine::builder(net)
-        .executor(ExecutorKind::Wavefront)
+        .executor(ExecutorKind::Planned)
         .trace(&recorder)
         .build()
         .expect("build engine");

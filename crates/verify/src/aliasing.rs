@@ -1,7 +1,7 @@
 //! Buffer-aliasing analysis for wavefront (level-parallel) execution.
 //!
-//! The wavefront executor runs all nodes of a level concurrently over
-//! buffers drawn from a shared [`BufferPool`]. That is only sound if no
+//! The planned executor runs all nodes of a level concurrently over
+//! shared buffers (static slots or a [`BufferPool`]). That is only sound if no
 //! tensor is *written* in the same level where it is *read* (or written
 //! again): a same-level def/use pair would race on the buffer. This pass
 //! proves the property for a given level partition — by default the one the
@@ -113,8 +113,8 @@ pub fn live_ranges(
     ranges
 }
 
-/// Derive a level partition from the IR exactly like the wavefront
-/// executor: a node's level is one more than the deepest level among its
+/// Derive a level partition from the IR exactly like the planned
+/// executor's schedule: a node's level is one more than the deepest level among its
 /// input producers. Returns levels of node indices. Nodes stuck in cycles
 /// are omitted (the dataflow pass denies the graph separately).
 pub fn compute_levels(ir: &GraphIr) -> Vec<Vec<usize>> {

@@ -4,8 +4,8 @@
 //! Deep500 validates executors dynamically (ℓ∞ comparison against the
 //! reference, §IV of the paper); this crate adds the missing *static* tier:
 //! an nGraph-style IR verifier that catches shape, dtype, and dataflow
-//! defects before any kernel runs, plus a buffer-aliasing proof for the
-//! wavefront executor's pooled concurrency and a safety harness for graph
+//! defects before any kernel runs, plus a buffer-aliasing proof for
+//! level-parallel execution over shared buffers and a safety harness for graph
 //! transforms. Diagnostics are a typed lint stream ([`Lint`]) with
 //! rustc-style severities and `--explain` renderings — a lint engine for
 //! models, not a boolean check.

@@ -192,7 +192,7 @@ impl LintCode {
             }
             LintCode::DuplicateWriter => {
                 "Two nodes produce the same tensor name. Execution order would silently \
-                 decide which value consumers observe, and the wavefront executor could \
+                 decide which value consumers observe, and the level-parallel executor could \
                  even run both writers concurrently. Every tensor name must have exactly \
                  one producer (SSA discipline)."
             }
